@@ -20,7 +20,8 @@
 //   ./build/bench/fleet_scale --smoke     # CI-sized ladder, 10 -> 200
 //   ./build/bench/fleet_scale --gate100k  # CI gate: 100k nodes, both
 //                                         # table modes byte-identical
-//                                         # across jobs, RSS < 2048 MiB
+//                                         # across jobs, RSS < 2048 MiB,
+//                                         # slow_advances <= store_flips
 //   ./build/bench/fleet_scale --jobs N    # threaded-leg worker count
 //                                         # (0 = hardware concurrency;
 //                                         # default max(8, hardware))
@@ -45,6 +46,8 @@
 #include "fleet/soa.hpp"
 #include "node/curve_cache.hpp"
 #include "obs/cli.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "pv/cell_library.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sched/prepared_trace.hpp"
@@ -120,6 +123,26 @@ PairResult run_pair(const focv::fleet::FleetSpec& spec, int jobs, bool analyze_l
     out.identical = false;
   }
   return out;
+}
+
+/// Deterministic sweep work of one serial run: the fleet.soa.* counters
+/// it adds (deltas, so a --trace/--metrics capture keeps its totals).
+struct SweepWork {
+  double slow_advances = 0.0;  ///< intervals the kernels replayed step by step
+  double store_flips = 0.0;    ///< usable() crossings those replays found
+};
+
+SweepWork count_sweep_work(const focv::fleet::FleetSpec& spec) {
+  using namespace focv;
+  const auto counter = [](const char* name) { return obs::metrics().counter_value(name); };
+  obs::ScopedEnable on;
+  const double slow0 = counter("fleet.soa.slow_advances");
+  const double flips0 = counter("fleet.soa.store_flips");
+  fleet::FleetOptions opt;
+  opt.jobs = 1;
+  opt.analyze_load = false;
+  (void)fleet::run_fleet(spec, opt);
+  return {counter("fleet.soa.slow_advances") - slow0, counter("fleet.soa.store_flips") - flips0};
 }
 
 /// Shared-table footprint of the SoA plan for this spec [bytes].
@@ -267,6 +290,31 @@ int main(int argc, char** argv) {
   if (gate100k && rss >= 2048.0) {
     std::fprintf(stderr, "FAIL: peak RSS %.1f MiB >= 2048 MiB budget at 100k nodes\n", rss);
     return 1;
+  }
+  if (gate100k) {
+    // Work-counter gate: the endpoint crossing test sends an interval
+    // down advance_slow only when its store may flip usable(), so slow
+    // advances may not outnumber the flips they find, and both kernels
+    // must do exactly the same slow work.
+    const SweepWork lanes = count_sweep_work(
+        make_spec(biggest, environs, fleet::FleetEngine::kSoa, fleet::TableMode::kFloat));
+    const SweepWork scalar = count_sweep_work(make_spec(biggest, environs,
+                                                        fleet::FleetEngine::kSoa,
+                                                        fleet::TableMode::kFloat,
+                                                        fleet::SoaKernel::kScalar));
+    std::printf("sweep work at %zu nodes: slow_advances %.0f, store_flips %.0f (lanes); "
+                "%.0f, %.0f (scalar)\n",
+                biggest, lanes.slow_advances, lanes.store_flips, scalar.slow_advances,
+                scalar.store_flips);
+    if (lanes.slow_advances > lanes.store_flips) {
+      std::fprintf(stderr, "FAIL: slow_advances %.0f > store_flips %.0f\n", lanes.slow_advances,
+                   lanes.store_flips);
+      return 1;
+    }
+    if (lanes.slow_advances != scalar.slow_advances || lanes.store_flips != scalar.store_flips) {
+      std::fprintf(stderr, "FAIL: the lane and scalar kernels did different slow work\n");
+      return 1;
+    }
   }
   if (!all_identical) {
     std::fprintf(stderr, "FAIL: a threaded run or the scalar kernel diverged from the\n"

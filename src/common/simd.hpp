@@ -361,6 +361,13 @@ FOCV_SIMD_INLINE DVec clamp(DVec x, DVec lo, DVec hi) {
   return select(x < lo, lo, select(hi < x, hi, x));
 }
 
+/// std::fabs per lane as a sign select: bit-identical to the scalar call
+/// except that -0.0 stays -0.0, which compares and adds like +0.0.
+FOCV_SIMD_INLINE DVec abs(DVec x) {
+  const DVec zero = broadcast(0.0);
+  return select(x < zero, zero - x, x);
+}
+
 /// std::floor per lane.
 #if FOCV_SIMD_X86_GATHER
 FOCV_SIMD_INLINE DVec floor(DVec x) {

@@ -113,6 +113,7 @@ void run_env(const SoaPlan& plan, const EnvPlan& env, const FleetSpec& spec,
   cx.tau = plan.tau;
   cx.e_max = plan.max_energy;
   cx.e_use = plan.min_useful_energy;
+  cx.cross_guard = env.cross_guard;
   cx.e_init = 0.5 * plan.capacitance * plan.initial_voltage * plan.initial_voltage;
   cx.lux_scale = spec.base.lux_scale;
   const power::WsnLoad::Params& lp = spec.base.load;

@@ -133,6 +133,11 @@ struct EnvPlan {
   DenseTables tables;
   const std::vector<double>* time = nullptr;  ///< trace step boundaries
   double duration = 0.0;
+  /// Relative band of the kernels' endpoint crossing test:
+  /// power::kCrossingGuard widened by 4 max(span - w) / tau, the largest
+  /// shortfall of the decay's width against the span advance_slow times
+  /// its crossing on (DESIGN.md §8 "Crossing test").
+  double cross_guard = 0.0;
 };
 
 struct SoaPlan {

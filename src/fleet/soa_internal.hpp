@@ -22,6 +22,7 @@
 #include "fleet/soa.hpp"
 #include "node/harvester_node.hpp"
 #include "power/converter.hpp"
+#include "power/storage.hpp"
 
 namespace focv::fleet::soa::internal {
 
@@ -183,6 +184,7 @@ struct EnvContext {
   const std::uint8_t* dark = nullptr;  ///< flat interval-order dark flags
   // Storage model.
   double inv_cap2 = 0.0, tau = 0.0, e_max = 0.0, e_use = 0.0, e_init = 0.0;
+  double cross_guard = 0.0;  ///< EnvPlan::cross_guard
   // Node init constants.
   double lux_scale = 1.0, burst_j = 0.0, sleep_power = 0.0;
   // Report constants.
@@ -232,10 +234,13 @@ struct SlowRefs {
   std::uint32_t& slow;
 };
 
-/// The rare case: the store crosses usable() inside the interval, so
-/// the advance splits at step boundaries exactly as
-/// MacroStepper::advance_store_span does. Kept out of the kernels' fast
-/// paths — they handle virtually every interval with one decay multiply.
+/// The interval's advance when the endpoint crossing test could not rule
+/// out a usable() crossing (stays_clear() false: the store starts at the
+/// gate, or its endpoint lands within the guard band of it or beyond
+/// it). Solves the crossing time exactly and splits at step boundaries
+/// as MacroStepper::advance_store_span does. When it finds no flip it
+/// runs one piece with dec_full — exactly the kernels' fast path, so the
+/// test's verdict never changes a report byte, only the work done.
 inline void advance_slow(const EnvContext& cx, const sched::BatchInterval& iv, double load_w,
                          double delivered, double oh_drain, double dec_full, SlowRefs s) {
   ++s.slow;

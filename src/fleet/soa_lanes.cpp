@@ -36,8 +36,8 @@
 //     same for every lane, so they remain ordinary branches taken
 //     identically to the scalar kernel.
 //  4. Rare per-node work falls back to the shared scalar routine. A
-//     lane whose store crosses usable() inside an interval keeps its
-//     pre-interval state (the selects preserve it), then
+//     lane the crossing test cannot clear keeps its pre-interval state
+//     (the selects preserve it), then
 //     internal::advance_slow — the same function the scalar kernel
 //     calls — replays that one node's interval in lane order.
 //  5. Fixed-order merges. Per-node accumulators live in per-node array
@@ -295,6 +295,7 @@ KernelTotals run_axis_lanes(const EnvContext& cx, const AxisPlan& ax,
   const DVec tau_v = simd::broadcast(cx.tau);
   const DVec emax_v = simd::broadcast(cx.e_max);
   const DVec euse_v = simd::broadcast(cx.e_use);
+  const DVec guard_v = simd::broadcast(cx.cross_guard);
   const DVec minlux_v = simd::broadcast(min_lux);
   // Sample-and-hold axis constants (unused lanes of the affine path).
   const DVec inoff_v = simd::broadcast(ax.in_off);
@@ -329,8 +330,9 @@ KernelTotals run_axis_lanes(const EnvContext& cx, const AxisPlan& ax,
     DVec cold_v = simd::load(a_cold.data() + off);
 
     // Lane-wide closed-form supercap advance: the scalar kernel's
-    // advance_span with the crossing test as a mask. Lanes that need
-    // the slow step-split keep their pre-interval state through the
+    // advance_span with power::stays_clear's expressions as a mask.
+    // Lanes whose endpoint lands within the guard band of the usable()
+    // gate (or across it) keep their pre-interval state through the
     // selects; the state is spilled, fixed per lane by the SAME
     // internal::advance_slow the scalar kernel calls, and reloaded.
     // (Kept fused with the table/eval pipeline: the advance is a
@@ -343,12 +345,13 @@ KernelTotals run_axis_lanes(const EnvContext& cx, const AxisPlan& ax,
       const MVec usable = e_v >= euse_v;
       const DVec net = (delivered - oh_drain) - simd::select(usable, loadw_v, zero);
       const DVec e_inf = (half * net) * tau_v;
-      const MVec fast = (e_v != euse_v) & (((e_v - euse_v) * (e_inf - euse_v)) >= zero);
+      const DVec e_end = e_inf + (e_v - e_inf) * simd::broadcast(dec_arr[ii]);
+      const DVec band = guard_v * (euse_v + simd::abs(euse_v - e_inf));
+      const MVec fast = ((e_v > euse_v) & ((e_end - euse_v) > band)) |
+                        ((e_v < euse_v) & ((euse_v - e_end) > band));
       const MVec healthy = fast & usable;
       const DVec len = simd::broadcast(span_arr[ii]);
-      const DVec e_new =
-          simd::clamp(e_inf + (e_v - e_inf) * simd::broadcast(dec_arr[ii]), zero, emax_v);
-      e_v = simd::select(fast, e_new, e_v);
+      e_v = simd::select(fast, simd::clamp(e_end, zero, emax_v), e_v);
       served_v = served_v + simd::select(healthy, loadw_v * len, zero);
       const MVec brown = fast & ~usable;
       brownt_v = brownt_v + simd::select(brown, len, zero);

@@ -184,6 +184,7 @@ std::unique_ptr<const SoaPlan> build_plan(
     ep.mean_u.assign(n_iv);
     ep.t_start.assign(n_iv);
     ep.nsteps.assign(n_iv);
+    double w_short = 0.0;
     for (std::size_t i = 0; i < n_iv; ++i) {
       const sched::BatchInterval& iv = ep.schedule.intervals[i];
       ep.x_lo[i] = iv.lo_u > 0.0 ? kGrid * std::log(iv.lo_u) : -kInf;
@@ -194,7 +195,9 @@ std::unique_ptr<const SoaPlan> build_plan(
       ep.mean_u[i] = iv.mean_u;
       ep.t_start[i] = iv.t0;
       ep.nsteps[i] = iv.b - iv.a;
+      w_short = std::max(w_short, ep.span[i] - iv.w);
     }
+    ep.cross_guard = power::kCrossingGuard + 4.0 * w_short / plan->tau;
     for (const AxisPlan& ap : plan->axes) {
       if (ap.law == mppt::MacroLaw::kSampleHold && ap.batch) {
         ep.overlays.push_back(

@@ -25,6 +25,7 @@ KernelTotals run_axis_scalar(const EnvContext& cx, const AxisPlan& ax,
   const double tau = cx.tau;
   const double e_max = cx.e_max;
   const double e_use = cx.e_use;
+  const double cross_guard = cx.cross_guard;
   const double min_lux = ax.min_lux;
   const double* width_arr = cx.width;
   const double* span_arr = cx.span;
@@ -39,21 +40,23 @@ KernelTotals run_axis_scalar(const EnvContext& cx, const AxisPlan& ax,
 
   KernelTotals totals;
 
-  // Supercapacitor::advance_constant_power across interval `ii`. The
-  // crossing test is the sign form of time_to_energy's r in (0, 1]
-  // (e_use strictly between e0 and the asymptote e_inf, or e0 exactly
-  // at the gate); the crossing-free common case costs one decay
-  // multiply and never touches the trace time array — span[ii] is
-  // bit-identical to the slow path's t[iv.b] - t[iv.a], so the branch
-  // cannot change a single report byte.
+  // Supercapacitor::advance_constant_power across interval `ii`, gated
+  // by the endpoint crossing test (power::stays_clear): when the decayed
+  // endpoint stays on the store's side of the usable() gate beyond the
+  // guard band, no step of the interval can flip usable(), and one decay
+  // multiply is the whole advance. span[ii] is bit-identical to
+  // advance_slow's t[iv.b] - t[iv.a], and advance_slow without a flip
+  // runs this very arithmetic, so the test decides the work done, never
+  // a report byte.
   const auto advance_span = [&](NodeState& st, std::uint32_t ii, double delivered,
                                 double oh_drain) __attribute__((always_inline)) {
     const bool usable = st.e >= e_use;
     const double net = delivered - oh_drain - (usable ? st.load_w : 0.0);
     const double e_inf = 0.5 * net * tau;
-    if (st.e != e_use && (st.e - e_use) * (e_inf - e_use) >= 0.0) {
+    const double e_end = e_inf + (st.e - e_inf) * dec_arr[ii];
+    if (power::stays_clear(st.e, e_end, e_inf, e_use, cross_guard)) {
       const double len = span_arr[ii];
-      st.e = std::clamp(e_inf + (st.e - e_inf) * dec_arr[ii], 0.0, e_max);
+      st.e = std::clamp(e_end, 0.0, e_max);
       if (usable) {
         st.served += st.load_w * len;
       } else {

@@ -37,6 +37,19 @@ double Supercapacitor::advance_constant_power(double power, double dt) {
   return e_after - e_before;
 }
 
+bool Supercapacitor::advance_if_clear(double power, double dt, double threshold_j) {
+  require(dt > 0.0, "Supercapacitor::advance_if_clear: dt must be > 0");
+  if (params_.self_discharge_resistance <= 0.0) return false;
+  const double e_before = stored_energy();
+  const double tau = params_.self_discharge_resistance * params_.capacitance;
+  const double e_inf = 0.5 * power * tau;
+  const double e_end = e_inf + (e_before - e_inf) * std::exp(-2.0 * dt / tau);
+  if (!stays_clear(e_before, e_end, e_inf, threshold_j, kCrossingGuard)) return false;
+  const double e_after = std::clamp(e_end, 0.0, max_energy());
+  voltage_ = std::sqrt(2.0 * e_after / params_.capacitance);
+  return true;
+}
+
 double Supercapacitor::time_to_energy(double power, double target_j) const {
   constexpr double kNever = std::numeric_limits<double>::infinity();
   const double e0 = stored_energy();

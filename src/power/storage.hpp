@@ -1,9 +1,37 @@
 // Energy storage models: supercapacitor and a simple battery.
 #pragma once
 
+#include <cmath>
+#include <limits>
+
 #include "common/require.hpp"
 
 namespace focv::power {
+
+/// Relative guard band of the endpoint crossing test, 2^16 machine
+/// epsilons. DESIGN.md §8 "Crossing test" bounds the rounding the test
+/// must absorb by (22 + 11 lambda) u, u = epsilon / 2 and lambda =
+/// 2 dt / tau; a crossing span has lambda < 1419 over the normal double
+/// range, so the band covers the worst case eight times over.
+inline constexpr double kCrossingGuard = 0x1p16 * std::numeric_limits<double>::epsilon();
+
+/// The one crossing test of the closed-form store advance
+/// E(t) = e_inf + (e0 - e_inf) exp(-2t/tau) across a span, given the
+/// span's computed endpoint `e_end`: true when e_end lies on e0's side of
+/// `threshold` by more than the band rel_guard * (threshold +
+/// |threshold - e_inf|). The trajectory is monotone, so the store then
+/// provably stays on that side for the whole span, and the exact
+/// time_to_energy() solve would report no crossing before the span ends.
+/// False at e0 == threshold, inside the band and on NaN: the caller then
+/// solves for the crossing time. `rel_guard` is kCrossingGuard, widened
+/// only where the endpoint's decay and the crossing solve measure the
+/// span differently (the SoA schedule's prefix-summed widths).
+[[nodiscard]] inline bool stays_clear(double e0, double e_end, double e_inf, double threshold,
+                                      double rel_guard) {
+  const double band = rel_guard * (threshold + std::fabs(threshold - e_inf));
+  return e0 > threshold ? e_end - threshold > band
+                        : e0 < threshold && threshold - e_end > band;
+}
 
 /// Ideal supercapacitor with voltage limits and self-discharge.
 class Supercapacitor {
@@ -38,6 +66,14 @@ class Supercapacitor {
   /// macro-stepper to jump across hold periods in one call. Returns the
   /// energy change [J].
   double advance_constant_power(double power, double dt);
+
+  /// advance_constant_power() guarded by the crossing test: when the
+  /// closed form provably keeps the store on its side of `threshold_j`
+  /// for all of dt (stays_clear() with kCrossingGuard), advances exactly
+  /// as advance_constant_power() would and returns true. Otherwise —
+  /// a possible crossing, or no self-discharge (no exponential closed
+  /// form) — returns false and leaves the state untouched.
+  bool advance_if_clear(double power, double dt, double threshold_j);
 
   /// Time until the stored energy first reaches `target_j` under a
   /// constant net power from the current state (voltage clamps ignored).

@@ -216,21 +216,27 @@ node::NodeReport simulate_node_events(const env::LightTrace& trace, const node::
       if (!bursts) {
         const bool usable = store_usable();
         const double net = delivered_pw - oh_drain - (usable ? load_power : 0.0);
-        const double flip_dt = time_to_usable_flip(net);
-        if (std::isfinite(flip_dt) && t[p] + flip_dt < t[q]) {
-          auto it = std::upper_bound(t.begin() + static_cast<std::ptrdiff_t>(p),
-                                     t.begin() + static_cast<std::ptrdiff_t>(q) + 1,
-                                     t[p] + flip_dt);
-          auto qf = static_cast<std::size_t>(it - t.begin());
-          if (qf <= p) qf = p + 1;  // crossing at t[p] itself: flip lands on the next boundary
-          if (qf < q) {
-            q = qf;
-            rec_step = kNone;  // the record boundary is beyond this piece now
+        // Supercapacitor: the endpoint crossing test advances the whole
+        // piece when the store provably cannot reach the usable()
+        // threshold inside it — the same bytes the solve below yields
+        // when it finds no crossing, without its log and search.
+        if (battery || !supercap.advance_if_clear(net, t[q] - t[p], cap_usable_energy)) {
+          const double flip_dt = time_to_usable_flip(net);
+          if (std::isfinite(flip_dt) && t[p] + flip_dt < t[q]) {
+            auto it = std::upper_bound(t.begin() + static_cast<std::ptrdiff_t>(p),
+                                       t.begin() + static_cast<std::ptrdiff_t>(q) + 1,
+                                       t[p] + flip_dt);
+            auto qf = static_cast<std::size_t>(it - t.begin());
+            if (qf <= p) qf = p + 1;  // crossing at t[p] itself: flip lands on the next boundary
+            if (qf < q) {
+              q = qf;
+              rec_step = kNone;  // the record boundary is beyond this piece now
+            }
+            ++report.events;  // storage threshold crossing
           }
-          ++report.events;  // storage threshold crossing
+          store_advance(net, t[q] - t[p]);
         }
         const double len = t[q] - t[p];
-        store_advance(net, len);
         if (usable) {
           report.load_energy_served += load_power * len;
         } else {

@@ -109,6 +109,21 @@ TEST(Simd, ClampMatchesStdClampBitwise) {
   EXPECT_TRUE(lane_bits_equal(clamp(broadcast(-0.0), lo, hi)[0], std::clamp(-0.0, 0.0, 1.0)));
 }
 
+TEST(Simd, AbsMatchesStdFabsOffZero) {
+  // Bitwise std::fabs on every ordered non-zero lane; -0.0 stays -0.0
+  // (documented), which compares and adds like +0.0; NaN stays NaN.
+  const DVec r = abs(awkward());
+  for (int l = 0; l < kLanes; ++l) {
+    if (std::isnan(kVals[l])) {
+      EXPECT_TRUE(std::isnan(r[l])) << l;
+    } else if (kVals[l] == 0.0) {
+      EXPECT_EQ(r[l], 0.0) << l;
+    } else {
+      EXPECT_TRUE(lane_bits_equal(r[l], std::fabs(kVals[l]))) << l;
+    }
+  }
+}
+
 TEST(Simd, FloorMatchesStdFloor) {
   const DVec r = floor(awkward());
   for (int l = 0; l < kLanes; ++l) {

@@ -6,10 +6,15 @@
 // every lane-tail / fallback edge the blocking can hit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "env/profiles.hpp"
 #include "fleet/fleet.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
+#include "power/storage.hpp"
 #include "pv/cell_library.hpp"
 
 namespace focv::fleet {
@@ -87,6 +92,80 @@ TEST(FleetSoaLanes, SlowPathCrossingsinsideLanesByteIdentical) {
     spec.base.load.report_period = 30.0;  // heavier load: more crossings
     expect_kernels_identical(spec, mode == TableMode::kQuantized ? "quantized" : "float");
   }
+}
+
+/// The SoA sweep's deterministic work on one serial run.
+struct SweepWork {
+  double slow = 0.0, flips = 0.0;
+};
+
+SweepWork sweep_work(FleetSpec spec, SoaKernel kernel) {
+  spec.soa_kernel = kernel;
+  const auto counter = [](const char* name) { return obs::metrics().counter_value(name); };
+  obs::ScopedEnable on;
+  const double slow0 = counter("fleet.soa.slow_advances");
+  const double flips0 = counter("fleet.soa.store_flips");
+  FleetOptions opt;
+  opt.jobs = 1;
+  (void)run_fleet(spec, opt);
+  return {counter("fleet.soa.slow_advances") - slow0, counter("fleet.soa.store_flips") - flips0};
+}
+
+double rel_err(double a, double b) {
+  const double scale = std::max(std::abs(a), std::abs(b));
+  return scale == 0.0 ? 0.0 : std::abs(a - b) / scale;
+}
+
+/// Every contract the endpoint crossing test touches, on one roster:
+/// scalar <-> lanes bytes, identical slow/flip work in both kernels,
+/// no more slow advances than flips, and the per-node engine within the
+/// 0.1 % equivalence band.
+void expect_crossing_contracts(const FleetSpec& spec, const std::string& label) {
+  expect_kernels_identical(spec, label);
+  const SweepWork lanes = sweep_work(spec, SoaKernel::kLanes);
+  const SweepWork scalar = sweep_work(spec, SoaKernel::kScalar);
+  EXPECT_EQ(lanes.slow, scalar.slow) << label;
+  EXPECT_EQ(lanes.flips, scalar.flips) << label;
+  EXPECT_LE(lanes.slow, lanes.flips) << label;
+
+  FleetSpec per_node = spec;
+  per_node.engine = FleetEngine::kPerNode;
+  FleetOptions opt;
+  opt.jobs = 1;
+  const FleetReport a = run_fleet(per_node, opt);
+  const FleetReport b = run_fleet(spec, opt);
+  ASSERT_EQ(a.nodes_ok, b.nodes_ok) << label;
+  EXPECT_LT(rel_err(a.harvested_j, b.harvested_j), 1e-3) << label;
+  EXPECT_LT(rel_err(a.delivered_j, b.delivered_j), 1e-3) << label;
+  EXPECT_LT(rel_err(a.load_served_j, b.load_served_j), 1e-3) << label;
+  EXPECT_LT(rel_err(a.overhead_j, b.overhead_j), 1e-3) << label;
+}
+
+TEST(FleetSoaLanes, StoresParkedAtTheGuardBand) {
+  // Every node starts at the usable() gate, or offset from it in energy
+  // by a quarter of the crossing test's relative guard band (inside) or
+  // by a thousand bands (outside), on both sides: the first advance of
+  // every lane starts on the test's edge, in blocks mixing slow and
+  // fast lanes.
+  const double band = power::kCrossingGuard;
+  for (const double offset : {0.0, 0.25 * band, -0.25 * band, 1e3 * band, -1e3 * band}) {
+    FleetSpec spec = lanes_spec(130, TableMode::kFloat);
+    spec.chunk_size = 32;
+    spec.base.storage.initial_voltage =
+        spec.base.storage.min_useful_voltage * std::sqrt(1.0 + offset);
+    expect_crossing_contracts(spec, "energy offset " + std::to_string(offset / band) + " bands");
+  }
+}
+
+TEST(FleetSoaLanes, AsymptoteAtTheGate) {
+  // No load and a gate at 0 V: in the dark the store's asymptote is the
+  // gate itself (e_inf == e_use == 0), approached but never reached.
+  FleetSpec spec = lanes_spec(130, TableMode::kQuantized);
+  spec.base.storage.min_useful_voltage = 0.0;
+  spec.base.load.sleep_power = 0.0;
+  spec.base.load.sense_power = 0.0;
+  spec.base.load.tx_power = 0.0;
+  expect_crossing_contracts(spec, "e_inf == e_use");
 }
 
 TEST(FleetSoaLanes, LanesKernelIsTheDefault) {
