@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "circuit/transient.hpp"
+#include "common/json.hpp"
 #include "common/require.hpp"
 #include "core/focv_system.hpp"
 #include "core/netlists.hpp"
@@ -31,7 +32,6 @@
 #include "runtime/thread_pool.hpp"
 #include "sched/prepared_trace.hpp"
 #include "serve/client.hpp"
-#include "serve/json.hpp"
 #include "serve/server.hpp"
 
 namespace focv::microbench {
@@ -449,7 +449,7 @@ ServeBurstStats serve_warm_burst(std::uint16_t port, int connections, int inflig
                            std::to_string(id) + "}");
       };
       std::string payload;
-      serve::Json response;
+      Json response;
       while (static_cast<int>(next_id) < per_connection || outstanding > 0) {
         while (static_cast<int>(next_id) < per_connection &&
                outstanding < static_cast<std::uint64_t>(inflight)) {
@@ -465,12 +465,12 @@ ServeBurstStats serve_warm_burst(std::uint16_t port, int connections, int inflig
         }
         --outstanding;
         const BurstClock::time_point now = BurstClock::now();
-        if (!serve::Json::parse(payload, response) ||
+        if (!Json::parse(payload, response) ||
             !response.bool_or("ok", false)) {
           failures.fetch_add(1);
           return;
         }
-        const serve::Json* id = response.find("id");
+        const Json* id = response.find("id");
         if (id != nullptr && id->is_number()) {
           const std::uint64_t got = static_cast<std::uint64_t>(id->as_number());
           out.push_back(

@@ -7,6 +7,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "common/json.hpp"
+
 namespace focv::microbench {
 
 std::vector<CaseSpec>& registry() {
@@ -75,24 +77,7 @@ std::vector<CaseResult> run_cases(const RunOptions& options) {
 
 namespace {
 
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  // JSON has no inf/nan literals; the suite never produces them, but a
-  // schema-valid file beats a surprising parse error if a case ever does.
-  if (!std::isfinite(v)) return "null";
-  return buf;
-}
-
-std::string quoted(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
+std::string quoted(const std::string& s) { return '"' + Json::escape(s) + '"'; }
 
 }  // namespace
 
@@ -107,17 +92,18 @@ std::string to_json(const std::vector<CaseResult>& results, const RunOptions& op
     const CaseResult& r = results[i];
     out += "    {\"name\": " + quoted(r.name) +
            ", \"description\": " + quoted(r.description) +
-           ",\n     \"median_s\": " + num(r.median_s) +
-           ", \"mad_s\": " + num(r.mad_s) + ", \"min_s\": " + num(r.min_s) +
+           ",\n     \"median_s\": " + Json::dump_number(r.median_s, 9) +
+           ", \"mad_s\": " + Json::dump_number(r.mad_s, 9) +
+           ", \"min_s\": " + Json::dump_number(r.min_s, 9) +
            ",\n     \"reps_s\": [";
     for (std::size_t k = 0; k < r.seconds.size(); ++k) {
       if (k) out += ", ";
-      out += num(r.seconds[k]);
+      out += Json::dump_number(r.seconds[k], 9);
     }
     out += "],\n     \"counters\": {";
     for (std::size_t k = 0; k < r.counters.size(); ++k) {
       if (k) out += ", ";
-      out += quoted(r.counters[k].first) + ": " + num(r.counters[k].second);
+      out += quoted(r.counters[k].first) + ": " + Json::dump_number(r.counters[k].second, 9);
     }
     out += "}}";
     out += (i + 1 < results.size()) ? ",\n" : "\n";
@@ -149,7 +135,7 @@ std::string to_json(const std::vector<CaseResult>& results, const RunOptions& op
                                       : other.median_s / base.median_s;
           std::string stem_clean = stem;
           while (!stem_clean.empty() && stem_clean.back() == '_') stem_clean.pop_back();
-          out += quoted(std::string(key_prefix) + stem_clean) + ": " + num(ratio);
+          out += quoted(std::string(key_prefix) + stem_clean) + ": " + Json::dump_number(ratio, 9);
         }
       }
     }
@@ -170,7 +156,8 @@ std::string to_json(const std::vector<CaseResult>& results, const RunOptions& op
           simd.median_s > 0.0) {
         if (!first) out += ", ";
         first = false;
-        out += quoted("speedup_fleet_simd") + ": " + num(base.median_s / simd.median_s);
+        out += quoted("speedup_fleet_simd") + ": " +
+               Json::dump_number(base.median_s / simd.median_s, 9);
       }
     }
   }
@@ -192,7 +179,7 @@ std::string to_json(const std::vector<CaseResult>& results, const RunOptions& op
         if (!first) out += ", ";
         first = false;
         out += quoted("speedup_event_stepper_" + stem) + ": " +
-               num(base.median_s / ev.median_s);
+               Json::dump_number(base.median_s / ev.median_s, 9);
       }
     }
   }

@@ -1,10 +1,11 @@
-#include "serve/json.hpp"
+#include "common/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
-namespace focv::serve {
+namespace focv {
 
 Json Json::boolean(bool b) {
   Json j;
@@ -78,13 +79,17 @@ void Json::set(std::string key, Json v) {
   object_.emplace_back(std::move(key), std::move(v));
 }
 
-std::string Json::format_number(double v) {
+std::string Json::format_number(double v, int digits) {
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
+  std::snprintf(buf, sizeof buf, "%.*g", digits, v);
   return buf;
 }
 
-std::string Json::escape(const std::string& s) {
+std::string Json::dump_number(double v, int digits) {
+  return std::isfinite(v) ? format_number(v, digits) : "null";
+}
+
+std::string Json::escape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
   for (const char c : s) {
@@ -111,7 +116,7 @@ void Json::dump_to(std::string& out) const {
   switch (type_) {
     case Type::kNull: out += "null"; return;
     case Type::kBool: out += bool_ ? "true" : "false"; return;
-    case Type::kNumber: out += format_number(number_); return;
+    case Type::kNumber: out += dump_number(number_); return;
     case Type::kString:
       out += '"';
       out += escape(string_);
@@ -150,8 +155,8 @@ std::string Json::dump() const {
 
 namespace {
 
-// Recursive-descent parser over the request bytes. Depth-bounded so a
-// hostile frame of nested '[' cannot blow the stack.
+// Recursive-descent parser. `depth` counts the containers enclosing the
+// value being parsed; the (kMaxDepth + 1)-th nested container is refused.
 class Parser {
  public:
   explicit Parser(const std::string& text) : s_(text) {}
@@ -166,8 +171,6 @@ class Parser {
   }
 
  private:
-  static constexpr int kMaxDepth = 48;
-
   bool fail(const char* message) {
     if (error_ != nullptr && error_->empty()) {
       *error_ = std::string(message) + " at byte " + std::to_string(pos_);
@@ -186,10 +189,10 @@ class Parser {
   }
 
   bool value(Json& out, int depth) {
-    if (depth > kMaxDepth) return fail("nesting too deep");
     skip_ws();
     if (pos_ >= s_.size()) return fail("unexpected end of input");
     const char c = s_[pos_];
+    if ((c == '{' || c == '[') && depth >= Json::kMaxDepth) return fail("nesting too deep");
     if (c == '{') return object(out, depth);
     if (c == '[') return array(out, depth);
     if (c == '"') {
@@ -213,12 +216,47 @@ class Parser {
     return number(out);
   }
 
+  bool digit() const { return pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9'; }
+
+  /// One or more digits.
+  bool digits() {
+    if (!digit()) return false;
+    while (digit()) ++pos_;
+    return true;
+  }
+
+  bool next_is(char c) const { return pos_ < s_.size() && s_[pos_] == c; }
+
+  // RFC 8259: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? with a
+  // finite value. strtod alone would also take NaN, Infinity, hex and a
+  // leading '+', and turns 1e999 into inf, none of which dump() can
+  // write back.
   bool number(Json& out) {
+    const std::size_t start = pos_;
+    if (next_is('-')) ++pos_;
+    if (!digit()) {
+      pos_ = start;
+      return fail("expected a JSON value");
+    }
+    if (s_[pos_] == '0') {
+      ++pos_;
+    } else {
+      digits();
+    }
+    if (next_is('.')) {
+      ++pos_;
+      if (!digits()) return fail("bad number");
+    }
+    if (next_is('e') || next_is('E')) {
+      ++pos_;
+      if (next_is('+') || next_is('-')) ++pos_;
+      if (!digits()) return fail("bad number");
+    }
     char* end = nullptr;
-    const double v = std::strtod(s_.c_str() + pos_, &end);
-    if (end == s_.c_str() + pos_) return fail("expected a JSON value");
+    const double v = std::strtod(s_.c_str() + start, &end);
+    if (end != s_.c_str() + pos_) return fail("bad number");
+    if (!std::isfinite(v)) return fail("number out of range");
     out = Json::number(v);
-    pos_ = static_cast<std::size_t>(end - s_.c_str());
     return true;
   }
 
@@ -259,8 +297,9 @@ class Parser {
               return fail("bad \\u escape");
             }
           }
-          // UTF-8 encode the BMP code point (surrogate pairs are not
-          // needed by this protocol's ASCII-leaning payloads).
+          // UTF-8 encode the BMP code point. Surrogate pairs are not
+          // combined (each half encodes on its own); escape() never
+          // writes them, as it escapes only control characters.
           if (code < 0x80) {
             out += static_cast<char>(code);
           } else if (code < 0x800) {
@@ -351,4 +390,4 @@ bool Json::parse(const std::string& text, Json& out, std::string* error) {
   return parser.parse(out, error);
 }
 
-}  // namespace focv::serve
+}  // namespace focv

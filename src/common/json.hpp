@@ -1,29 +1,39 @@
-// Minimal JSON value for the focv-serve/v1 wire protocol.
+// The one JSON reader and writer of the repo.
 //
-// The serve tier needs both directions — parse request bodies arriving
-// over the socket and render responses — under one hard constraint: the
-// rendering must be byte-deterministic, because the protocol contract
-// (tests/serve/) says identical request JSON yields byte-identical
-// response JSON no matter how the server scheduled or batched the work.
-// So the writer has no configuration: object keys keep insertion order,
-// doubles print with the same %.17g round-trip format the fleet/sweep
-// exports use, and there is exactly one spacing convention.
+// Every exporter (fleet report, sweep, tournament, obs snapshot/trace/
+// event log, micro-bench results), the serve wire protocol and the
+// obs_report reader go through this module, so escaping, number
+// formatting and parsing exist exactly once.
 //
-// kRaw lets a response embed an already-rendered byte-stable JSON
-// document (e.g. FleetReport::to_json()) without a parse/re-print trip
-// that could perturb its bytes.
+// The writer has no configuration because its output is a byte
+// contract: object keys keep insertion order, doubles print with
+// format_number's %.17g (exact round trip, not shortest), a non-finite
+// number prints as `null`, and there is exactly one spacing convention.
+//
+// kRaw lets a document embed an already-rendered byte-stable JSON text
+// (e.g. FleetReport::to_json()) without a parse/re-print trip that
+// could perturb its bytes.
+//
+// The parser accepts RFC 8259 only: numbers must match the RFC grammar
+// and have a finite value (no NaN, Infinity, hex, leading '+' or
+// overflow to inf), and a document may nest at most kMaxDepth
+// containers, so a hostile frame of '[' cannot blow the stack.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
-namespace focv::serve {
+namespace focv {
 
 class Json {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject, kRaw };
+
+  /// Deepest container nesting parse() accepts.
+  static constexpr int kMaxDepth = 48;
 
   Json() = default;
   static Json null() { return Json(); }
@@ -73,12 +83,18 @@ class Json {
   /// malformed input or trailing garbage.
   static bool parse(const std::string& text, Json& out, std::string* error = nullptr);
 
-  /// The %.17g round-trip double rendering every byte-stable exporter in
-  /// this repo shares (fleet/sweep reports); exposed for response code
-  /// that formats numbers outside a Json tree.
-  [[nodiscard]] static std::string format_number(double v);
-  /// JSON string escaping (quotes not included).
-  [[nodiscard]] static std::string escape(const std::string& s);
+  /// `v` printed with `%.*g` at `digits` significant digits. The
+  /// default 17 round-trips every double exactly (it is not the
+  /// shortest form); the telemetry writers pass 9. Non-finite values
+  /// print as printf does ("nan", "inf"), which suits CSV cells and
+  /// cache keys but not JSON: JSON writers use dump_number.
+  [[nodiscard]] static std::string format_number(double v, int digits = 17);
+  /// The JSON text of a number: format_number(v, digits), or `null`
+  /// when `v` is not finite. dump() writes number values through this.
+  [[nodiscard]] static std::string dump_number(double v, int digits = 17);
+  /// JSON string escaping (quotes not included): `"`, `\` and the
+  /// control characters below 0x20; every other byte passes through.
+  [[nodiscard]] static std::string escape(std::string_view s);
 
  private:
   Type type_ = Type::kNull;
@@ -89,4 +105,4 @@ class Json {
   std::vector<std::pair<std::string, Json>> object_;
 };
 
-}  // namespace focv::serve
+}  // namespace focv

@@ -45,30 +45,11 @@
 
 namespace focv::fleet {
 
-/// DEPRECATED MPPT policy enum (the pre-registry API). New code passes
-/// registry spec strings to add_policy(spec, weight) instead — the enum
-/// can only name the six original controllers at default parameters,
-/// while a spec string reaches every registered controller with
-/// arbitrary parameters. Kept as a thin shim: add_policy(MpptPolicy)
-/// forwards to the spec-string path under the legacy snake_case report
-/// label, so existing reports stay byte-identical.
-enum class MpptPolicy {
-  kFocvSampleHold,          ///< the paper's S&H FOCV (per-node divider-k spread)
-  kFixedVoltage,            ///< voltage-reference IC [8]
-  kPilotCellFocv,           ///< pilot-cell FOCV [5]
-  kHillClimbing,            ///< P&O hill climbing [2]
-  kPeriodicDisconnectFocv,  ///< 100 ms periodic FOCV [4]
-  kDirectConnection,        ///< no MPPT, diode-coupled [7]
-};
-
-/// Stable snake_case identifier the deprecated enum shim uses as its
-/// report/JSONL label (spec-string axes are labelled by their canonical
-/// spec instead).
-[[nodiscard]] const char* policy_name(MpptPolicy policy);
-
-/// Registry spec string the deprecated enum maps onto (default
-/// parameters, e.g. kHillClimbing -> "pando").
-[[nodiscard]] const char* policy_spec(MpptPolicy policy);
+/// Report / JSONL label of the default axis effective_policies builds
+/// when a FleetSpec lists no policy: the paper's S&H FOCV at default
+/// parameters. Default-policy fleet reports carry it, so it is part of
+/// the focv-fleet/v1 byte contract.
+inline constexpr const char* kDefaultPolicyLabel = "focv_sample_hold";
 
 /// Per-node spread assumptions (drawn per node from its RNG stream).
 struct HeterogeneitySpec {
@@ -81,7 +62,7 @@ struct HeterogeneitySpec {
   /// which is what keeps the chunk-shared curve cache valid.
   double cell_tolerance_sigma = 0.03;
   /// Fractional 1-sigma spread of the FOCV divider ratio (untrimmed
-  /// production units; only consumed by kFocvSampleHold nodes).
+  /// production units; only consumed by "focv" nodes).
   double divider_spread_sigma = 0.01;
   /// Load report period jitter: uniform fractional spread (+/-).
   double load_period_jitter = 0.05;
@@ -100,8 +81,8 @@ struct EnvironmentAxis {
 /// Axis value: one controller of the deployment mixture, described by a
 /// resolved registry spec with a mixture weight.
 struct PolicyAxis {
-  /// Report / JSONL key of this axis: the canonical spec string for
-  /// spec-string axes, the legacy snake_case name for enum-shim axes.
+  /// Report / JSONL key of this axis: the canonical spec string
+  /// (kDefaultPolicyLabel for the default axis).
   std::string label;
   /// Registry resolution backing the axis (name + final parameters).
   mppt::ResolvedSpec resolved;
@@ -110,11 +91,6 @@ struct PolicyAxis {
   /// axes: the paper controller is rebuilt per node so the divider-k
   /// tolerance draw folds into the axis parameters (materialize_node).
   std::shared_ptr<const mppt::MpptController> prototype;
-  /// DEPRECATED: the legacy enum this axis came from when added through
-  /// the shim (best-effort name mapping otherwise; meaningless for
-  /// controllers without an enum equivalent). Only NodeDraw::policy
-  /// reads it.
-  MpptPolicy policy = MpptPolicy::kFocvSampleHold;
 };
 
 /// Declarative fleet description. Expands deterministically into
@@ -156,13 +132,13 @@ struct FleetSpec {
   std::uint64_t root_seed = 2024;
   /// Shared light environments; each node draws one by weight.
   std::vector<EnvironmentAxis> environments;
-  /// Policy mixture; empty deploys every node with kFocvSampleHold.
+  /// Policy mixture; empty deploys every node with the paper's "focv".
   std::vector<PolicyAxis> policies;
   /// Cell model shared by all nodes (required; heterogeneity is applied
   /// as a per-node photocurrent factor so the chunk curve cache stays
   /// shareable). Set with use_cell().
   std::shared_ptr<const pv::SingleDiodeModel> cell;
-  /// Component spec for kFocvSampleHold nodes; divider_ratio is the
+  /// Component spec for "focv" nodes; divider_ratio is the
   /// pre-spread nominal.
   core::SystemSpec system;
   /// Template for every node's NodeConfig. The cell, controller,
@@ -197,15 +173,11 @@ struct FleetSpec {
   void add_policy(const char* spec, double weight = 1.0) {
     add_policy(std::string(spec), weight);
   }
-  /// DEPRECATED enum shim: forwards to the spec-string path under the
-  /// legacy snake_case label (byte-identical reports) and prints a
-  /// one-time deprecation note to stderr.
-  void add_policy(MpptPolicy policy, double weight = 1.0);
 };
 
 /// The policy mixture actually deployed: FleetSpec::policies, or a
-/// single default-weight "focv" axis under the legacy label when the
-/// spec lists none. materialize_node, the report skeleton and the JSONL
+/// single default-weight "focv" axis labelled kDefaultPolicyLabel when
+/// the spec lists none. materialize_node, the report skeleton and the JSONL
 /// writer all label nodes through this.
 [[nodiscard]] std::vector<PolicyAxis> effective_policies(const FleetSpec& spec);
 
@@ -216,9 +188,6 @@ struct NodeDraw {
   std::uint64_t seed = 0;         ///< this node's RNG stream seed
   std::size_t env_index = 0;
   std::size_t policy_index = 0;   ///< into the effective policy list
-  /// DEPRECATED: legacy enum of the drawn axis (see PolicyAxis::policy);
-  /// reports key on the axis label, not on this.
-  MpptPolicy policy = MpptPolicy::kFocvSampleHold;
   double attenuation = 1.0;       ///< placement factor
   double cell_factor = 1.0;       ///< photocurrent tolerance factor
   double divider_ratio = 0.0;     ///< FOCV k*alpha after spread

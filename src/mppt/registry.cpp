@@ -227,9 +227,9 @@ namespace {
 // Builtin entries: the paper's baselines (Section IV-B hardware
 // classes) plus the adaptive gradient-descent tracker. Defaults match
 // each controller's Params{} defaults exactly, so a registry-built
-// controller is indistinguishable from a default-constructed one (the
-// byte-determinism contract of the legacy enum shim). "focv" itself is
-// registered by focv::core (component-level SystemSpec lives there).
+// controller is indistinguishable from a default-constructed one.
+// "focv" itself is registered by focv::core (component-level SystemSpec
+// lives there).
 
 void register_builtins(Registry& r) {
   const double kLuxMax = 200e3;

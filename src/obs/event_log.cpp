@@ -1,10 +1,9 @@
 #include "obs/event_log.hpp"
 
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 
+#include "common/json.hpp"
 #include "common/require.hpp"
 
 namespace focv::obs {
@@ -15,36 +14,6 @@ std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
 }
 
 }  // namespace
@@ -78,16 +47,16 @@ void EventLog::emit(std::string_view event, double sim_t,
 
 void EventLog::consume(const StagedRecord& r) {
   std::string line = "{\"schema\":\"focv-obs/v1\",\"kind\":\"event\",\"event\":\"" +
-                     json_escape(r.name) + "\",\"sim_t\":" + json_number(r.sim_t) +
-                     ",\"wall_us\":" + json_number(r.ts_us) + ",\"fields\":{";
+                     Json::escape(r.name) + "\",\"sim_t\":" + Json::dump_number(r.sim_t, 9) +
+                     ",\"wall_us\":" + Json::dump_number(r.ts_us, 9) + ",\"fields\":{";
   for (std::uint32_t i = 0; i < r.n_fields; ++i) {
     const StagedField& f = r.fields[i];
     if (i) line += ',';
-    line += '"' + json_escape(f.name) + "\":";
+    line += '"' + Json::escape(f.name) + "\":";
     if (f.is_number) {
-      line += json_number(f.number);
+      line += Json::dump_number(f.number, 9);
     } else {
-      line += '"' + json_escape(f.text) + '"';
+      line += '"' + Json::escape(f.text) + '"';
     }
   }
   line += "}}";

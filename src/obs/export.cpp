@@ -1,56 +1,28 @@
 #include "obs/export.hpp"
 
 #include <cmath>
-#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 
+#include "common/json.hpp"
 #include "common/require.hpp"
 
 namespace focv::obs {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Shortest round-trip decimal (the byte-stable convention the fleet
-/// and tournament exports use).
+/// Shortest decimal that reads back as `v`: the snapshot and Prometheus
+/// number form. (The fleet, sweep and tournament exports print the fixed
+/// %.17g of Json::format_number instead, which also round-trips but is
+/// not shortest.)
 std::string fmt_number(double v) {
   if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  double parsed = 0.0;
-  std::sscanf(buf, "%lg", &parsed);
-  if (parsed == v) {
-    for (int prec = 1; prec < 17; ++prec) {
-      char probe[40];
-      std::snprintf(probe, sizeof probe, "%.*g", prec, v);
-      std::sscanf(probe, "%lg", &parsed);
-      if (parsed == v) return probe;
-    }
+  for (int prec = 1; prec < 17; ++prec) {
+    std::string probe = Json::format_number(v, prec);
+    if (std::strtod(probe.c_str(), nullptr) == v) return probe;
   }
-  return buf;
+  return Json::format_number(v);
 }
 
 /// Prometheus sample value (exposition format allows +Inf/-Inf/NaN).
@@ -79,7 +51,7 @@ void append_kv_object(std::string& out, const char* key,
   out += "\":{";
   for (std::size_t i = 0; i < kvs.size(); ++i) {
     if (i) out += ',';
-    out += '"' + json_escape(kvs[i].first) + "\":" + fmt_number(kvs[i].second);
+    out += '"' + Json::escape(kvs[i].first) + "\":" + fmt_number(kvs[i].second);
   }
   out += '}';
 }
@@ -157,7 +129,7 @@ std::string to_snapshot_json(const MetricsSnapshot& snapshot, std::uint64_t sequ
   for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
     const HistogramSnapshot& h = snapshot.histograms[i];
     if (i) out += ',';
-    out += "{\"name\":\"" + json_escape(h.name) +
+    out += "{\"name\":\"" + Json::escape(h.name) +
            "\",\"count\":" + std::to_string(h.count) + ",\"sum\":" + fmt_number(h.sum) +
            ",\"mean\":" + fmt_number(h.mean()) + ",\"edges\":[";
     for (std::size_t k = 0; k < h.edges.size(); ++k) {

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
+#include "common/json.hpp"
 #include "common/require.hpp"
 
 namespace focv::obs {
@@ -24,13 +24,6 @@ std::uint32_t find_or_append(std::vector<std::string>& names, const std::string&
           std::string("MetricsRegistry: ") + kind + " capacity exhausted at '" + name + "'");
   names.push_back(name);
   return static_cast<std::uint32_t>(names.size() - 1);
-}
-
-std::string json_number(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  if (!std::isfinite(v)) return "null";
-  return buf;
 }
 
 }  // namespace
@@ -240,19 +233,19 @@ void MetricsRegistry::append_jsonl(std::string& out) const {
   const MetricsSnapshot snap = snapshot();
   for (const auto& [name, value] : snap.counters) {
     out += "{\"schema\":\"focv-obs/v1\",\"kind\":\"counter\",\"name\":\"" + name +
-           "\",\"value\":" + json_number(value) + "}\n";
+           "\",\"value\":" + Json::dump_number(value) + "}\n";
   }
   for (const auto& [name, value] : snap.gauges) {
     out += "{\"schema\":\"focv-obs/v1\",\"kind\":\"gauge\",\"name\":\"" + name +
-           "\",\"value\":" + json_number(value) + "}\n";
+           "\",\"value\":" + Json::dump_number(value) + "}\n";
   }
   for (const HistogramSnapshot& h : snap.histograms) {
     out += "{\"schema\":\"focv-obs/v1\",\"kind\":\"histogram\",\"name\":\"" + h.name +
-           "\",\"count\":" + std::to_string(h.count) + ",\"sum\":" + json_number(h.sum) +
+           "\",\"count\":" + std::to_string(h.count) + ",\"sum\":" + Json::dump_number(h.sum) +
            ",\"edges\":[";
     for (std::size_t i = 0; i < h.edges.size(); ++i) {
       if (i) out += ',';
-      out += json_number(h.edges[i]);
+      out += Json::dump_number(h.edges[i]);
     }
     out += "],\"counts\":[";
     for (std::size_t i = 0; i < h.counts.size(); ++i) {

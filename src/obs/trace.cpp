@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 
+#include "common/json.hpp"
 #include "common/require.hpp"
 
 namespace focv::obs {
@@ -18,45 +17,15 @@ std::int64_t steady_now_ns() {
       .count();
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
-
 void append_args(std::string& out, const std::vector<TraceArg>& args) {
   out += "\"args\":{";
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (i) out += ',';
-    out += '"' + json_escape(args[i].name) + "\":";
+    out += '"' + Json::escape(args[i].name) + "\":";
     if (args[i].is_number) {
-      out += json_number(args[i].number);
+      out += Json::dump_number(args[i].number, 9);
     } else {
-      out += '"' + json_escape(args[i].text) + '"';
+      out += '"' + Json::escape(args[i].text) + '"';
     }
   }
   out += '}';
@@ -161,11 +130,11 @@ std::string Tracer::to_chrome_json() const {
       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,"
       "\"args\":{\"name\":\"focv simulated time\"}}";
   for (const TraceEvent& e : sorted) {
-    out += ",\n{\"name\":\"" + json_escape(e.name) + "\",\"cat\":\"" +
-           json_escape(e.category) + "\",\"ph\":\"" + e.phase + "\",\"pid\":" +
+    out += ",\n{\"name\":\"" + Json::escape(e.name) + "\",\"cat\":\"" +
+           Json::escape(e.category) + "\",\"ph\":\"" + e.phase + "\",\"pid\":" +
            std::to_string(e.pid) + ",\"tid\":" + std::to_string(e.tid) +
-           ",\"ts\":" + json_number(e.ts_us);
-    if (e.phase == 'X') out += ",\"dur\":" + json_number(e.dur_us);
+           ",\"ts\":" + Json::dump_number(e.ts_us, 9);
+    if (e.phase == 'X') out += ",\"dur\":" + Json::dump_number(e.dur_us, 9);
     if (e.phase == 'i') out += ",\"s\":\"t\"";
     out += ',';
     append_args(out, e.args);

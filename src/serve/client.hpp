@@ -7,7 +7,7 @@
 #include <cstdint>
 #include <string>
 
-#include "serve/json.hpp"
+#include "common/json.hpp"
 
 namespace focv::serve {
 

@@ -1,8 +1,23 @@
 #include "serve/protocol.hpp"
 
+#include <chrono>
+
 #include "mppt/registry.hpp"
 
 namespace focv::serve {
+
+namespace {
+
+/// Largest accepted `deadline_ms`. The server adds the deadline to a
+/// steady_clock time point in the clock's integer ticks; half the
+/// clock's range keeps both that float->int conversion and the sum
+/// from overflowing.
+constexpr double kMaxDeadlineMs =
+    std::chrono::duration<double, std::milli>(std::chrono::steady_clock::duration::max())
+        .count() /
+    2.0;
+
+}  // namespace
 
 bool parse_request(const std::string& payload, Request& out, std::string& error) {
   std::string parse_error;
@@ -33,6 +48,10 @@ bool parse_request(const std::string& payload, Request& out, std::string& error)
   out.deadline_ms = body.number_or("deadline_ms", 0.0);
   if (out.deadline_ms < 0.0) {
     error = error_response(out.id_json, errc::kBadRequest, "\"deadline_ms\" must be >= 0");
+    return false;
+  }
+  if (!(out.deadline_ms <= kMaxDeadlineMs)) {
+    error = error_response(out.id_json, errc::kBadRequest, "\"deadline_ms\" is too large");
     return false;
   }
   out.body = std::move(body);

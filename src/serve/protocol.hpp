@@ -25,10 +25,12 @@
 #include <string>
 #include <string_view>
 
+#include "common/json.hpp"
 #include "mppt/spec.hpp"
-#include "serve/json.hpp"
 
 namespace focv::serve {
+
+using focv::Json;
 
 inline constexpr const char* kSchema = "focv-serve/v1";
 /// Largest accepted request frame (responses may be larger).

@@ -37,9 +37,9 @@ FleetSpec small_spec(std::size_t nodes) {
   spec.use_cell(pv::sanyo_am1815());
   spec.add_environment("bright", env::constant_light(1200.0, 0.0, 3600.0), 0.6);
   spec.add_environment("dim", env::constant_light(180.0, 0.0, 3600.0), 0.4);
-  spec.add_policy(MpptPolicy::kFocvSampleHold, 0.7);
-  spec.add_policy(MpptPolicy::kPilotCellFocv, 0.15);
-  spec.add_policy(MpptPolicy::kDirectConnection, 0.15);
+  spec.add_policy("focv", 0.7);
+  spec.add_policy("pilot", 0.15);
+  spec.add_policy("direct", 0.15);
   spec.base.storage.initial_voltage = 2.5;
   spec.base.load.report_period = 120.0;
   return spec;
@@ -139,37 +139,6 @@ TEST(Fleet, MaterializeAppliesTheDraw) {
   ASSERT_NE(config.controller_prototype, nullptr);
 }
 
-TEST(Fleet, SpecStringPoliciesMatchEnumShimByteForByte) {
-  // Same mixture, once through the registry spec strings and once
-  // through the deprecated enum shim. Only the axis labels may differ
-  // (canonical spec vs legacy snake_case); every simulated byte must
-  // be identical once the labels are normalised.
-  FleetSpec via_spec = small_spec(24);
-  via_spec.policies.clear();
-  via_spec.add_policy("focv", 0.7);
-  via_spec.add_policy("pilot", 0.15);
-  via_spec.add_policy("direct", 0.15);
-
-  const FleetSpec via_enum = small_spec(24);  // enum mixture, same weights
-
-  const FleetReport a = run_fleet(via_spec, serial_options());
-  const FleetReport b = run_fleet(via_enum, serial_options());
-
-  const auto replace_all = [](std::string s, const std::string& from,
-                              const std::string& to) {
-    for (std::size_t pos = s.find(from); pos != std::string::npos;
-         pos = s.find(from, pos + to.size())) {
-      s.replace(pos, from.size(), to);
-    }
-    return s;
-  };
-  std::string legacy_json = b.to_json();
-  legacy_json = replace_all(legacy_json, "focv_sample_hold", "focv");
-  legacy_json = replace_all(legacy_json, "pilot_cell_focv", "pilot");
-  legacy_json = replace_all(legacy_json, "direct_connection", "direct");
-  EXPECT_EQ(a.to_json(), legacy_json);
-}
-
 TEST(Fleet, SpecStringPolicyFailsFastOnBadSpec) {
   FleetSpec spec = small_spec(4);
   EXPECT_THROW(spec.add_policy("bogus"), mppt::SpecError);
@@ -249,6 +218,8 @@ TEST(Fleet, EnergyNeutralTracksStoreVoltage) {
   const FleetReport sunny = run_fleet(bright, serial_options());
   EXPECT_EQ(sunny.energy_neutral_nodes, sunny.nodes_ok);
   EXPECT_EQ(sunny.energy_neutral_fraction(), 1.0);
+  // No add_policy: the default axis keeps its report label.
+  EXPECT_EQ(effective_policies(bright).front().label, "focv_sample_hold");
 
   // Darkness: the load can only drain the store.
   FleetSpec dark = bright;

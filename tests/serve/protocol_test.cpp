@@ -1,10 +1,13 @@
 #include "serve/protocol.hpp"
 
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "serve/json.hpp"
+#include "common/json.hpp"
+#include "common/rng.hpp"
 #include "serve/session.hpp"
 
 namespace focv::serve {
@@ -62,6 +65,15 @@ TEST(ServeProtocol, ParseRequestRejectsWithStructuredErrors) {
       {"{\"op\":\"\",\"id\":1}", errc::kBadRequest},
       {"{\"op\":\"ping\",\"id\":{}}", errc::kBadRequest},
       {"{\"op\":\"ping\",\"deadline_ms\":-1}", errc::kBadRequest},
+      // Only RFC 8259 numbers with a finite value: an id of NaN must
+      // not come back as `"id":nan`, which is not JSON.
+      {"{\"op\":\"sim\",\"id\":NaN}", errc::kBadJson},
+      {"{\"op\":\"ping\",\"id\":Infinity}", errc::kBadJson},
+      {"{\"op\":\"ping\",\"id\":0x10}", errc::kBadJson},
+      {"{\"op\":\"ping\",\"id\":+5}", errc::kBadJson},
+      {"{\"op\":\"ping\",\"id\":1e999}", errc::kBadJson},
+      // Finite, but past what the server's clock ticks can hold.
+      {"{\"op\":\"ping\",\"deadline_ms\":1e300}", errc::kBadRequest},
   };
   for (const auto& shape : shapes) {
     Request request;
@@ -75,6 +87,90 @@ TEST(ServeProtocol, ParseRequestRejectsWithStructuredErrors) {
     EXPECT_EQ(err->string_or("code", ""), shape.code) << shape.payload;
     EXPECT_FALSE(err->string_or("message", "").empty());
   }
+}
+
+// Mutated requests under a fixed seed and a bounded count, so the run
+// is deterministic and takes milliseconds. Whatever the bytes, neither
+// Json::parse nor parse_request may crash, every accepted document
+// must round-trip dump -> parse -> dump to the same bytes, and every
+// envelope parse_request leads to must itself parse.
+TEST(ServeProtocol, MutatedRequestsStayWellFormed) {
+  const std::vector<std::string> corpus = {
+      "{\"op\":\"ping\",\"id\":1}",
+      "{\"op\":\"sim\",\"id\":\"a-1\",\"env\":\"office\",\"spec\":\"focv[k=0.55]\","
+      "\"deadline_ms\":250}",
+      "{\"op\":\"sizing\",\"id\":2,\"env\":\"office\",\"spec\":\"focv\","
+      "\"report_period_s\":120.5}",
+      "{\"op\":\"fleet\",\"id\":3,\"nodes\":64,\"seed\":7,\"policies\":[{\"spec\":\"focv\","
+      "\"weight\":0.7},{\"spec\":\"fixed\",\"weight\":0.3}]}",
+      "{\"op\":\"stats\",\"id\":null}",
+      "{\"op\":\"catalog\",\"id\":-0.5e-3,\"flags\":[true,false,null],"
+      "\"note\":\"tab\\t\\u00e9 \\\"q\\\"\"}",
+  };
+  const char* const number_tokens[] = {"NaN",   "-Infinity", "1e999", "0x1f", "+1",
+                                       "-0",    "1e-400",    "01",    "1.",   "2.5E+3",
+                                       "-",     "9007199254740993"};
+  const auto is_number_char = [](char c) {
+    return (c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E';
+  };
+
+  Rng rng(13);
+  int accepted = 0;
+  int requests = 0;
+  for (int i = 0; i < 4000; ++i) {
+    std::string doc = corpus[rng.below(corpus.size())];
+    switch (rng.below(4)) {
+      case 0:  // byte flips
+        for (std::uint64_t k = 0, n = 1 + rng.below(3); k < n; ++k) {
+          doc[rng.below(doc.size())] ^= static_cast<char>(1u << rng.below(8));
+        }
+        break;
+      case 1:  // truncation
+        doc.resize(rng.below(doc.size()));
+        break;
+      case 2: {  // deep '[' / '{' runs: balanced wraps or a raw run
+        const std::size_t n = 1 + rng.below(60);
+        const bool objects = rng.below(2) == 1;
+        if (rng.below(2) == 1) {
+          std::string open;
+          for (std::size_t k = 0; k < n; ++k) open += objects ? "{\"k\":" : "[";
+          doc = open + doc + std::string(n, objects ? '}' : ']');
+        } else {
+          doc.insert(rng.below(doc.size() + 1), std::string(n, objects ? '{' : '['));
+        }
+        break;
+      }
+      default: {  // number-token splice over the number at a random spot
+        std::size_t at = rng.below(doc.size());
+        while (at < doc.size() && !is_number_char(doc[at])) ++at;
+        std::size_t end = at;
+        while (end < doc.size() && is_number_char(doc[end])) ++end;
+        doc.replace(at, end - at, number_tokens[rng.below(std::size(number_tokens))]);
+        break;
+      }
+    }
+
+    Json parsed;
+    if (Json::parse(doc, parsed)) {
+      ++accepted;
+      const std::string once = parsed.dump();
+      Json again;
+      ASSERT_TRUE(Json::parse(once, again)) << doc << " -> " << once;
+      ASSERT_EQ(again.dump(), once) << doc;
+    }
+    Request request;
+    std::string envelope;
+    if (parse_request(doc, request, envelope)) {
+      ++requests;
+      envelope = ok_response(request.id_json, "{}");
+    }
+    Json reply;
+    ASSERT_TRUE(Json::parse(envelope, reply)) << doc << " -> " << envelope;
+  }
+  // Both sides of the grammar were exercised.
+  EXPECT_GT(accepted, 400);
+  EXPECT_GT(requests, 200);
+  EXPECT_LT(accepted, 3600);
 }
 
 TEST(ServeProtocol, ResponseEnvelopes) {

@@ -13,10 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hpp"
 #include "obs/flight.hpp"
 #include "obs/obs.hpp"
 #include "serve/client.hpp"
-#include "serve/json.hpp"
 #include "serve/protocol.hpp"
 
 namespace focv::serve {
@@ -243,6 +243,11 @@ TEST(ServeServer, ShutdownOpGatedByOption) {
   Json parsed;
   ASSERT_TRUE(Json::parse(accepted, parsed)) << accepted;
   EXPECT_TRUE(parsed.bool_or("ok", false)) << accepted;
+  // The reader thread answers first and raises the flag right after, so
+  // the reply is on the wire before a daemon's main loop can stop().
+  for (int i = 0; i < 1000 && !server2->stop_requested(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_TRUE(server2->stop_requested());
   server2->stop();
 }

@@ -19,191 +19,23 @@
 // Exits 1 when a file cannot be read or parsed, 2 on unrecognised
 // content — CI uses it as the smoke check that the exporters stay
 // parseable.
-#include <algorithm>
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/table.hpp"
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal recursive-descent JSON parser — enough for this repo's own
-// exporters (objects, arrays, strings with escapes, doubles, literals).
+using focv::Json;
 
-struct Json {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<Json> array;
-  std::vector<std::pair<std::string, Json>> object;
-
-  [[nodiscard]] const Json* find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-  [[nodiscard]] double num_or(double fallback) const {
-    return type == Type::kNumber ? number : fallback;
-  }
-};
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : s_(text) {}
-
-  bool parse(Json& out) {
-    skip_ws();
-    if (!value(out)) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_]))) ++pos_;
-  }
-  bool literal(const char* word, std::size_t n) {
-    if (s_.compare(pos_, n, word) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-  bool value(Json& out) {
-    skip_ws();
-    if (pos_ >= s_.size()) return false;
-    const char c = s_[pos_];
-    if (c == '{') return object(out);
-    if (c == '[') return array(out);
-    if (c == '"') {
-      out.type = Json::Type::kString;
-      return string(out.str);
-    }
-    if (c == 't') {
-      out.type = Json::Type::kBool;
-      out.boolean = true;
-      return literal("true", 4);
-    }
-    if (c == 'f') {
-      out.type = Json::Type::kBool;
-      out.boolean = false;
-      return literal("false", 5);
-    }
-    if (c == 'n') return literal("null", 4);
-    return number(out);
-  }
-  bool number(Json& out) {
-    char* end = nullptr;
-    out.number = std::strtod(s_.c_str() + pos_, &end);
-    if (end == s_.c_str() + pos_) return false;
-    out.type = Json::Type::kNumber;
-    pos_ = static_cast<std::size_t>(end - s_.c_str());
-    return true;
-  }
-  bool string(std::string& out) {
-    if (s_[pos_] != '"') return false;
-    ++pos_;
-    out.clear();
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= s_.size()) return false;
-      const char esc = s_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u':
-          // The exporters only escape ASCII control characters; keep the
-          // code point's low byte, which round-trips those exactly.
-          if (pos_ + 4 > s_.size()) return false;
-          out += static_cast<char>(std::strtol(s_.substr(pos_, 4).c_str(), nullptr, 16));
-          pos_ += 4;
-          break;
-        default: return false;
-      }
-    }
-    return false;
-  }
-  bool array(Json& out) {
-    out.type = Json::Type::kArray;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      Json element;
-      if (!value(element)) return false;
-      out.array.push_back(std::move(element));
-      skip_ws();
-      if (pos_ >= s_.size()) return false;
-      if (s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (s_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-  bool object(Json& out) {
-    out.type = Json::Type::kObject;
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (!string(key)) return false;
-      skip_ws();
-      if (pos_ >= s_.size() || s_[pos_] != ':') return false;
-      ++pos_;
-      Json val;
-      if (!value(val)) return false;
-      out.object.emplace_back(std::move(key), std::move(val));
-      skip_ws();
-      if (pos_ >= s_.size()) return false;
-      if (s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (s_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
+/// A number member's value, 0 for any other JSON type.
+double number(const Json& v) { return v.is_number() ? v.as_number() : 0.0; }
 
 // ---------------------------------------------------------------------------
 // Folded report state.
@@ -240,10 +72,9 @@ std::string tier_of(const std::string& name) {
 
 void fold_event(Report& report, const Json& line) {
   const Json* name = line.find("event");
-  if (name == nullptr || name->type != Json::Type::kString) return;
-  EventRow& row = report.events[name->str];
-  const Json* sim_t = line.find("sim_t");
-  const double at = sim_t != nullptr ? sim_t->num_or(0.0) : 0.0;
+  if (name == nullptr || !name->is_string()) return;
+  EventRow& row = report.events[name->as_string()];
+  const double at = line.number_or("sim_t", 0.0);
   if (row.count == 0) row.first_sim_t = at;
   row.last_sim_t = at;
   ++row.count;
@@ -251,20 +82,20 @@ void fold_event(Report& report, const Json& line) {
 
 void fold_metric_line(Report& report, const Json& line) {
   const Json* kind = line.find("kind");
-  if (kind == nullptr || kind->type != Json::Type::kString) return;
-  if (kind->str == "event") {
+  if (kind == nullptr || !kind->is_string()) return;
+  if (kind->as_string() == "event") {
     fold_event(report, line);
     return;
   }
   const Json* name = line.find("name");
   if (name == nullptr) return;
-  MetricRow& row = report.metrics[name->str];
-  row.kind = kind->str;
-  if (kind->str == "histogram") {
-    if (const Json* count = line.find("count")) row.value = count->num_or(0.0);
-    if (const Json* sum = line.find("sum")) row.sum = sum->num_or(0.0);
+  MetricRow& row = report.metrics[name->as_string()];
+  row.kind = kind->as_string();
+  if (kind->as_string() == "histogram") {
+    if (const Json* count = line.find("count")) row.value = number(*count);
+    if (const Json* sum = line.find("sum")) row.sum = number(*sum);
   } else if (const Json* value = line.find("value")) {
-    row.value = value->num_or(0.0);
+    row.value = number(*value);
   }
 }
 
@@ -275,7 +106,7 @@ bool fold_metrics_jsonl(Report& report, const std::string& text) {
   while (std::getline(lines, line)) {
     if (line.empty()) continue;
     Json parsed;
-    if (!Parser(line).parse(parsed)) return false;
+    if (!Json::parse(line, parsed)) return false;
     fold_metric_line(report, parsed);
     any = true;
   }
@@ -284,23 +115,23 @@ bool fold_metrics_jsonl(Report& report, const std::string& text) {
 
 void fold_snapshot(Report& report, const Json& snapshot) {
   if (const Json* counters = snapshot.find("counters")) {
-    for (const auto& [name, value] : counters->object) {
-      report.metrics[name] = {"counter", value.num_or(0.0), 0.0};
+    for (const auto& [name, value] : counters->members()) {
+      report.metrics[name] = {"counter", number(value), 0.0};
     }
   }
   if (const Json* gauges = snapshot.find("gauges")) {
-    for (const auto& [name, value] : gauges->object) {
-      report.metrics[name] = {"gauge", value.num_or(0.0), 0.0};
+    for (const auto& [name, value] : gauges->members()) {
+      report.metrics[name] = {"gauge", number(value), 0.0};
     }
   }
   if (const Json* histograms = snapshot.find("histograms")) {
-    for (const Json& h : histograms->array) {
+    for (const Json& h : histograms->items()) {
       const Json* name = h.find("name");
       if (name == nullptr) continue;
-      MetricRow& row = report.metrics[name->str];
+      MetricRow& row = report.metrics[name->as_string()];
       row.kind = "histogram";
-      if (const Json* count = h.find("count")) row.value = count->num_or(0.0);
-      if (const Json* sum = h.find("sum")) row.sum = sum->num_or(0.0);
+      if (const Json* count = h.find("count")) row.value = number(*count);
+      if (const Json* sum = h.find("sum")) row.sum = number(*sum);
     }
   }
 }
@@ -308,36 +139,35 @@ void fold_snapshot(Report& report, const Json& snapshot) {
 void fold_trace(Report& report, const Json& trace) {
   const Json* events = trace.find("traceEvents");
   if (events == nullptr) return;
-  for (const Json& e : events->array) {
+  for (const Json& e : events->items()) {
     const Json* ph = e.find("ph");
     const Json* name = e.find("name");
-    if (ph == nullptr || name == nullptr || ph->str == "M") continue;
-    const Json* pid = e.find("pid");
-    if (pid != nullptr && pid->num_or(1.0) == 2.0) {
+    if (ph == nullptr || name == nullptr || ph->as_string() == "M") continue;
+    if (e.number_or("pid", 1.0) == 2.0) {
       ++report.sim_markers;
       continue;
     }
-    if (ph->str != "X") continue;
-    SpanRow& row = report.spans[name->str];
+    if (ph->as_string() != "X") continue;
+    SpanRow& row = report.spans[name->as_string()];
     ++row.count;
-    if (const Json* dur = e.find("dur")) row.total_us += dur->num_or(0.0);
+    if (const Json* dur = e.find("dur")) row.total_us += number(*dur);
   }
 }
 
 void fold_flight(Report& report, const Json& flight, const std::string& path) {
   std::ostringstream line;
   line << path << ": reason=";
-  if (const Json* reason = flight.find("reason")) line << reason->str;
-  if (const Json* dump = flight.find("dump")) line << "  dump=" << dump->num_or(0.0);
+  if (const Json* reason = flight.find("reason")) line << reason->as_string();
+  if (const Json* dump = flight.find("dump")) line << "  dump=" << number(*dump);
   if (const Json* seen = flight.find("events_seen")) {
-    line << "  events_seen=" << static_cast<std::uint64_t>(seen->num_or(0.0));
+    line << "  events_seen=" << static_cast<std::uint64_t>(number(*seen));
   }
   if (const Json* evicted = flight.find("events_evicted")) {
-    line << "  evicted=" << static_cast<std::uint64_t>(evicted->num_or(0.0));
+    line << "  evicted=" << static_cast<std::uint64_t>(number(*evicted));
   }
   if (const Json* events = flight.find("events")) {
-    line << "  retained=" << events->array.size();
-    for (const Json& e : events->array) fold_event(report, e);
+    line << "  retained=" << events->items().size();
+    for (const Json& e : events->items()) fold_event(report, e);
   }
   report.flight_lines.push_back(line.str());
 }
@@ -366,7 +196,7 @@ int fold_file(Report& report, const std::string& path) {
     return 0;
   }
   Json doc;
-  if (!Parser(text).parse(doc)) {
+  if (!Json::parse(text, doc)) {
     std::fprintf(stderr, "obs_report: JSON parse failure in %s\n", path.c_str());
     return 1;
   }
@@ -375,11 +205,11 @@ int fold_file(Report& report, const std::string& path) {
     fold_trace(report, doc);
     return 0;
   }
-  if (schema != nullptr && schema->str == "focv-obs-snapshot/v1") {
+  if (schema != nullptr && schema->as_string() == "focv-obs-snapshot/v1") {
     fold_snapshot(report, doc);
     return 0;
   }
-  if (schema != nullptr && schema->str == "focv-obs-flight/v1") {
+  if (schema != nullptr && schema->as_string() == "focv-obs-flight/v1") {
     fold_flight(report, doc, path);
     return 0;
   }

@@ -18,8 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "serve/client.hpp"
-#include "serve/json.hpp"
 
 namespace {
 
@@ -43,7 +43,7 @@ const char* flag_value(int argc, char** argv, int& i) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  using focv::serve::Json;
+  using focv::Json;
   int port = 0;
   std::string op;
   std::string raw;
