@@ -67,9 +67,13 @@ int connect_tcp(std::uint16_t port, std::string& error) {
     ::close(fd);
     return -1;
   }
+  tune_stream(fd);
+  return fd;
+}
+
+void tune_stream(int fd) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
 }
 
 bool write_all(int fd, const void* data, std::size_t size) {

@@ -21,6 +21,12 @@ namespace focv::serve::net {
 /// Blocking connect to 127.0.0.1:`port`. Returns fd or -1 with `error`.
 [[nodiscard]] int connect_tcp(std::uint16_t port, std::string& error);
 
+/// Tune a connected stream for request/response traffic: TCP_NODELAY,
+/// so a small frame is sent at once instead of waiting (Nagle) for the
+/// peer's delayed ACK of the previous one. Both ends call it: the client
+/// on connect, the server on every accepted socket.
+void tune_stream(int fd);
+
 /// Write exactly `size` bytes (retrying partial writes; EPIPE-safe —
 /// never raises SIGPIPE). False on any error.
 bool write_all(int fd, const void* data, std::size_t size);

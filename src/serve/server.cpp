@@ -100,6 +100,7 @@ void Server::accept_loop() {
       if (shutting_down_.load()) break;
       continue;  // transient (EINTR / client vanished mid-handshake)
     }
+    net::tune_stream(fd);
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
     if (obs::enabled()) {

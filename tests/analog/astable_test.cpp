@@ -89,7 +89,7 @@ TEST(Astable, RejectsBadParams) {
   c.r_charge = -1.0;
   c.r_discharge = 1.0;
   c.capacitance = 1.0;
-  EXPECT_THROW(AstableMultivibrator::timing_from_components(c), PreconditionError);
+  EXPECT_THROW((void)AstableMultivibrator::timing_from_components(c), PreconditionError);
 }
 
 }  // namespace

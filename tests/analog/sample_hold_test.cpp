@@ -89,7 +89,7 @@ TEST(SampleHold, AverageCurrentScalesWithDuty) {
   SampleHold sh(p);
   EXPECT_NEAR(sh.average_current(0.0), 4.4e-6, 1e-12);
   EXPECT_NEAR(sh.average_current(1.0), 4.9e-6, 1e-12);
-  EXPECT_THROW(sh.average_current(1.5), PreconditionError);
+  EXPECT_THROW((void)sh.average_current(1.5), PreconditionError);
 }
 
 TEST(SampleHold, ResetClearsState) {

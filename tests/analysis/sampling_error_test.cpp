@@ -64,8 +64,8 @@ TEST(Eq2, MatchesBruteForce) {
 
 TEST(Eq2, RejectsBadPeriod) {
   const std::vector<double> x(10, 0.0);
-  EXPECT_THROW(worst_case_mean_error(x, 0), PreconditionError);
-  EXPECT_THROW(worst_case_mean_error(x, 11), PreconditionError);
+  EXPECT_THROW((void)worst_case_mean_error(x, 0), PreconditionError);
+  EXPECT_THROW((void)worst_case_mean_error(x, 11), PreconditionError);
 }
 
 TEST(Eq2, ErrorVsPeriodSweep) {

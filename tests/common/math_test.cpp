@@ -26,11 +26,11 @@ TEST(BrentRoot, AcceptsRootAtEndpoint) {
 }
 
 TEST(BrentRoot, ThrowsWhenNotBracketed) {
-  EXPECT_THROW(brent_root([](double x) { return x * x + 1.0; }, -1.0, 1.0), PreconditionError);
+  EXPECT_THROW((void)brent_root([](double x) { return x * x + 1.0; }, -1.0, 1.0), PreconditionError);
 }
 
 TEST(BrentRoot, ThrowsOnBadInterval) {
-  EXPECT_THROW(brent_root([](double x) { return x; }, 1.0, 0.0), PreconditionError);
+  EXPECT_THROW((void)brent_root([](double x) { return x; }, 1.0, 0.0), PreconditionError);
 }
 
 TEST(BrentRoot, HandlesSteepExponential) {
@@ -76,8 +76,8 @@ TEST(NewtonRoot, FallsBackToBisectionOnZeroDerivative) {
 }
 
 TEST(NewtonRoot, RequiresBracket) {
-  EXPECT_THROW(newton_root([](double x) { return x * x + 1.0; },
-                           [](double x) { return 2.0 * x; }, 0.0, -1.0, 1.0),
+  EXPECT_THROW((void)newton_root([](double x) { return x * x + 1.0; },
+                                 [](double x) { return 2.0 * x; }, 0.0, -1.0, 1.0),
                PreconditionError);
 }
 

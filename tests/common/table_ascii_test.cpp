@@ -43,8 +43,12 @@ TEST(AsciiPlot, RendersSeriesWithinFrame) {
     x.push_back(i * 0.1);
     y.push_back(i * 0.2);
   }
+  AsciiPlotOptions options;
+  options.width = 40;
+  options.height = 10;
+  options.title = "T";
   std::ostringstream os;
-  ascii_plot(os, {{x, y, '*', "ramp"}}, {.width = 40, .height = 10, .title = "T"});
+  ascii_plot(os, {{x, y, '*', "ramp"}}, options);
   const std::string out = os.str();
   EXPECT_NE(out.find('T'), std::string::npos);
   EXPECT_NE(out.find('*'), std::string::npos);
@@ -69,9 +73,11 @@ TEST(AsciiPlot, RejectsMismatchedSeries) {
 }
 
 TEST(AsciiPlot, RejectsTinyPlotArea) {
+  AsciiPlotOptions options;
+  options.width = 2;
+  options.height = 2;
   std::ostringstream os;
-  EXPECT_THROW(ascii_plot(os, {{{0.0}, {1.0}, '*', ""}}, {.width = 2, .height = 2}),
-               PreconditionError);
+  EXPECT_THROW(ascii_plot(os, {{{0.0}, {1.0}, '*', ""}}, options), PreconditionError);
 }
 
 }  // namespace

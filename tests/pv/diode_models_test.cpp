@@ -108,7 +108,7 @@ TEST(SingleDiodeModel, MppLiesBetweenZeroAndVoc) {
 
 TEST(SingleDiodeModel, OpenCircuitThrowsInDarkness) {
   const SingleDiodeModel model(basic_params());
-  EXPECT_THROW(model.open_circuit_voltage(at_lux(0.0)), PreconditionError);
+  EXPECT_THROW((void)model.open_circuit_voltage(at_lux(0.0)), PreconditionError);
 }
 
 TEST(SingleDiodeModel, TrackingEfficiencyPeaksAtMpp) {

@@ -70,7 +70,9 @@ TEST(Fig2Repro, NightIsDark) {
   const auto voc = day.voc_series(pv::schott_asi_1116929(), 300.15);
   const auto& t = day.time();
   for (std::size_t i = 0; i < t.size(); ++i) {
-    if (t[i] < 2.0 * 3600.0) EXPECT_LT(voc[i], 0.5) << "t=" << t[i];
+    if (t[i] < 2.0 * 3600.0) {
+      EXPECT_LT(voc[i], 0.5) << "t=" << t[i];
+    }
   }
 }
 

@@ -64,7 +64,7 @@ TEST(Sweep, AtAddressesTheMatrixInDeclarationOrder) {
   EXPECT_EQ(r.at(0, 0, 1).scenario, "bright 30 min");
   EXPECT_EQ(r.at(0, 1, 0).controller, "fixed");
   EXPECT_EQ(r.at(0, 1, 0).scenario, "office 30 min");
-  EXPECT_THROW(r.at(0, 2, 0), PreconditionError);
+  EXPECT_THROW((void)r.at(0, 2, 0), PreconditionError);
 }
 
 TEST(Sweep, MatchesADirectSimulateNodeCall) {

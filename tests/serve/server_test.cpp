@@ -1,8 +1,13 @@
 // End-to-end tests of the focv-serve daemon over real loopback sockets:
 // the byte-determinism contract across worker counts and batching modes,
 // single-flight environment warm-up, overload shedding, deadline expiry
-// (and the serve.deadline_storm anomaly), and graceful drain on stop().
+// (and the serve.deadline_storm anomaly), graceful drain on stop(), and
+// Nagle off on both ends of every connection.
 #include "serve/server.hpp"
+
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include <chrono>
 #include <cstdio>
@@ -17,6 +22,7 @@
 #include "obs/flight.hpp"
 #include "obs/obs.hpp"
 #include "serve/client.hpp"
+#include "serve/net.hpp"
 #include "serve/protocol.hpp"
 
 namespace focv::serve {
@@ -250,6 +256,65 @@ TEST(ServeServer, ShutdownOpGatedByOption) {
   }
   EXPECT_TRUE(server2->stop_requested());
   server2->stop();
+}
+
+/// TCP_NODELAY as getsockopt reads it on `fd`: 1 on, 0 off, -1 error.
+int nodelay(int fd) {
+  int on = 0;
+  socklen_t len = sizeof(on);
+  if (::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, &len) != 0) return -1;
+  return on != 0 ? 1 : 0;
+}
+
+/// The peer's port of a connected TCP socket (0 if `fd` is not one).
+std::uint16_t peer_port(int fd) {
+  sockaddr_in addr{};
+  socklen_t len = sizeof(addr);
+  if (::getpeername(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) return 0;
+  if (addr.sin_family != AF_INET) return 0;
+  return ntohs(addr.sin_port);
+}
+
+TEST(ServeNet, TuneStreamTurnsNagleOff) {
+  std::string error;
+  const int listener = net::listen_tcp(0, error);
+  ASSERT_GE(listener, 0) << error;
+  const int client = net::connect_tcp(net::bound_port(listener), error);
+  ASSERT_GE(client, 0) << error;
+  const int accepted = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(accepted, 0);
+  EXPECT_EQ(nodelay(client), 1);    // connect_tcp tunes the client end
+  EXPECT_EQ(nodelay(accepted), 0);  // a plain accept keeps Nagle on
+  net::tune_stream(accepted);
+  EXPECT_EQ(nodelay(accepted), 1);
+  net::close_fd(accepted);
+  net::close_fd(client);
+  net::close_fd(listener);
+}
+
+TEST(ServeServer, AcceptedConnectionsTurnNagleOff) {
+  auto server = start_server(ServerOptions{});
+  std::string error;
+  const int client = net::connect_tcp(server->port(), error);
+  ASSERT_GE(client, 0) << error;
+  // One round trip: the server has accepted, and tuned, its end.
+  ASSERT_TRUE(net::write_frame(client, R"({"op":"ping","id":1})"));
+  std::string reply;
+  ASSERT_EQ(net::read_frame(client, 1u << 20, reply), 1);
+
+  // The server's end is a descriptor of this process: the socket bound
+  // to the server's port whose peer is this client.
+  const std::uint16_t client_port = net::bound_port(client);
+  int server_end = -1;
+  for (int fd = 0; fd < 1024 && server_end < 0; ++fd) {
+    if (fd != client && net::bound_port(fd) == server->port() && peer_port(fd) == client_port) {
+      server_end = fd;
+    }
+  }
+  ASSERT_GE(server_end, 0);
+  EXPECT_EQ(nodelay(server_end), 1);
+  net::close_fd(client);
+  server->stop();
 }
 
 }  // namespace
